@@ -11,8 +11,8 @@
 //! point).
 
 use xfd_bench::{
-    geo_mean, run_baseline, run_concurrent_detection, run_detection, run_detection_with,
-    run_parallel_detection, run_streaming_detection, secs, trace_sizes, Baseline,
+    geo_mean, run_baseline, run_concurrent_detection, run_detection, run_streaming_detection, secs,
+    trace_sizes, Baseline,
 };
 use xfd_workloads::bugs::WorkloadKind;
 use xfd_workloads::{all_workloads, concurrent_workloads};
@@ -81,28 +81,11 @@ fn main() {
         geo_mean(&over_orig)
     );
     println!();
-    println!("Snapshot traffic: copy-on-write crash images vs the seed engine");
-    println!(
-        "{:<16} {:>14} {:>14} {:>10}",
-        "workload", "seed[KiB]", "cow[KiB]", "reduction"
-    );
-    let seed_cfg = XfConfig {
-        cow_snapshots: false,
-        dedup_images: false,
-        ..XfConfig::default()
-    };
+    println!("Snapshot traffic: copy-on-write crash images");
+    println!("{:<16} {:>14}", "workload", "cow[KiB]");
     for kind in [WorkloadKind::Btree, WorkloadKind::HashmapTx] {
-        let seed = run_detection_with(kind, OPS, seed_cfg.clone())
-            .stats
-            .snapshot_bytes_copied;
         let cow = run_detection(kind, OPS).stats.snapshot_bytes_copied;
-        println!(
-            "{:<16} {:>14.1} {:>14.1} {:>9.1}x",
-            kind.to_string(),
-            seed as f64 / 1024.0,
-            cow as f64 / 1024.0,
-            seed as f64 / cow.max(1) as f64,
-        );
+        println!("{:<16} {:>14.1}", kind.to_string(), cow as f64 / 1024.0);
     }
 
     println!();
@@ -126,23 +109,21 @@ fn main() {
     }
 
     println!();
-    println!("Hot-path counters: arena reuse, work-stealing dispatch, lock-free stream ring");
+    println!("Hot-path counters: retained representative traces, lock-free stream ring");
     println!(
-        "{:<16} {:>11} {:>10} {:>11} {:>11} {:>9}",
-        "workload", "arena[KiB]", "stolen@4w", "ring-spins", "ring-parks", "batches"
+        "{:<16} {:>13} {:>11} {:>11} {:>9}",
+        "workload", "retained[KiB]", "ring-spins", "ring-parks", "batches"
     );
     for kind in [WorkloadKind::Btree, WorkloadKind::HashmapTx] {
-        // Arena bytes come from the sequential engine (the dedup/prune
-        // caches it backs), stolen jobs from the 4-worker parallel
-        // dispatch, ring counters from the streaming pipeline's FIFO.
+        // Retained traces come from the sequential engine (the dedup/prune
+        // representatives), ring counters from the streaming pipeline's
+        // FIFO.
         let seq = run_detection(kind, OPS).stats;
-        let par = run_parallel_detection(kind, OPS, XfConfig::default(), 4).stats;
         let stream = run_streaming_detection(kind, OPS, XfConfig::default()).stats;
         println!(
-            "{:<16} {:>11.1} {:>10} {:>11} {:>11} {:>9}",
+            "{:<16} {:>13.1} {:>11} {:>11} {:>9}",
             kind.to_string(),
-            seq.arena_bytes as f64 / 1024.0,
-            par.jobs_stolen,
+            seq.retained_trace_bytes as f64 / 1024.0,
             stream.ring_spins,
             stream.ring_parks,
             stream.stream_batches,
@@ -199,8 +180,7 @@ fn main() {
     println!();
     println!(
         "paper shape: post-failure dominates total time; detection is ~12x \
-         slower than trace-only and ~400x slower than the original; COW \
-         snapshots cut image-copy traffic by orders of magnitude; the .xft \
+         slower than trace-only and ~400x slower than the original; the .xft \
          trace stream is several times denser than JSON"
     );
 }

@@ -26,7 +26,7 @@ fn main() {
         "snap[KiB]",
         "shadow[KiB]",
         "trace[KiB]",
-        "arena[KiB]"
+        "kept[KiB]"
     );
     for kind in microbenchmarks() {
         let mut prev_fp = 0u64;
@@ -47,7 +47,7 @@ fn main() {
                 s.snapshot_bytes_copied as f64 / 1024.0,
                 s.shadow_bytes_cloned as f64 / 1024.0,
                 trace.xft_bytes as f64 / 1024.0,
-                s.arena_bytes as f64 / 1024.0,
+                s.retained_trace_bytes as f64 / 1024.0,
             );
             assert!(
                 s.failure_points >= prev_fp,

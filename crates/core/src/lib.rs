@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 mod concurrent;
 mod engine;
 mod error;
@@ -48,14 +47,14 @@ pub mod offline;
 mod parallel;
 mod prune;
 mod report;
+pub mod resolve;
 mod shadow;
 mod stats;
 mod xfrun;
 
-pub use arena::{Arena, Span};
 pub use concurrent::{ConcurrentWorkload, Scheduled};
 pub use engine::{
-    DynError, EngineError, RingImpl, RunOutcome, Workload, XfConfig, XfConfigBuilder, XfDetector,
+    DynError, EngineError, RunOutcome, Workload, XfConfig, XfConfigBuilder, XfDetector,
     MAX_SCHEDULE_PLANS,
 };
 pub use error::{ConfigError, XfError};

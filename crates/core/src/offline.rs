@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use pmem::PersistDomain;
 use serde::{Deserialize, Serialize};
-use xftrace::{OwnedTraceEntry, SourceLoc};
+use xftrace::{OwnedTraceEntry, SourceLoc, TraceEntry};
 
 use crate::report::{DetectionReport, FailurePoint};
 use crate::shadow::ShadowPm;
@@ -52,6 +52,20 @@ pub struct RecordedRun {
     /// (and `.xft` v1 files) deserialize as [`PersistDomain::Adr`].
     #[serde(default)]
     pub domain: PersistDomain,
+}
+
+impl RecordedFailurePoint {
+    /// The failure point at `loc`, `pre_len` pre-failure entries into the
+    /// run, with its post-failure trace.
+    #[must_use]
+    pub fn new(pre_len: usize, loc: SourceLoc, post: &[TraceEntry]) -> Self {
+        RecordedFailurePoint {
+            pre_len,
+            file: loc.file.to_owned(),
+            line: loc.line,
+            post: post.iter().copied().map(Into::into).collect(),
+        }
+    }
 }
 
 impl RecordedRun {

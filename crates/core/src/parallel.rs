@@ -5,290 +5,179 @@
 //! parallelized. We leave the parallelized detection as a future work."
 //!
 //! [`XfDetector::run_parallel`] does exactly that: the pre-failure stage
-//! runs on the main thread as usual, but instead of executing each
-//! post-failure continuation inline at its failure point, the engine ships
-//! `(failure point, PM image, shadow checkpoint)` jobs over a bounded
-//! channel to a pool of worker threads. Each worker runs the recovery *and*
-//! — with [`XfConfig::parallel_checking`] — replays the resulting
-//! post-failure trace against the shipped O(1) copy-on-write checkpoint of
-//! the shadow PM, returning a per-failure-point fragment of findings. The
-//! main thread merges fragments in failure-point order (interleaved with
-//! the pre-failure findings at the positions where the sequential engine
-//! would have discovered them), so the resulting report is deterministic
-//! and byte-identical to [`XfDetector::run`]'s, post-failure *outcome*
-//! findings included.
+//! runs on the main thread as usual, and the shared [`FpResolver`] decides
+//! each failure point's source there. A failure point that must execute is
+//! shipped as a `(failure point, crash image, shadow checkpoint)` job over
+//! a bounded queue to a pool of worker threads. Each worker runs the
+//! recovery, replays the resulting post-failure trace against the shipped
+//! O(1) copy-on-write checkpoint of the shadow PM, and returns a
+//! per-failure-point fragment of findings. Failure points the resolver
+//! elides (journaled, warm, pruned, deduplicated) ship nothing; the merge
+//! stage checks their replayed trace against their own checkpoint.
 //!
-//! With `parallel_checking: false`, workers only execute recoveries; the
-//! frontend still takes a shadow checkpoint per failure point, and the
-//! merge stage replays each post-failure trace against its checkpoint
-//! serially — the PR-1-era pipeline, kept as an ablation.
+//! The main thread merges in failure-point order, interleaving the
+//! pre-failure findings at the positions where the sequential engine would
+//! have discovered them, so the report is deterministic and byte-identical
+//! to [`XfDetector::run`]'s, post-failure *outcome* findings included.
 //!
 //! Requirements: the workload must be [`Send`] + [`Sync`] (each worker calls
-//! `post_failure` on its own forked context). The bounded channel keeps at
-//! most `2 × workers` PM images alive, so memory stays proportional to the
+//! `post_failure` on its own forked context). The bounded queue keeps at
+//! most `2 × workers` jobs waiting, so memory stays proportional to the
 //! worker count, not to the failure-point count. Shadow checkpoints are
 //! `Arc`-shared with the live shadow and cost no copying up front; the
 //! pre-failure replay pays per-line copy-on-write faults only for lines it
 //! mutates while checkpoints are in flight (see
-//! [`RunStats::shadow_bytes_cloned`]).
+//! [`RunStats::shadow_bytes_cloned`](crate::RunStats::shadow_bytes_cloned)).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use pmem::{
-    BudgetOverrun, CowImage, EngineHook, ImageHash, OrderingPointInfo, PmCtx, PmImage, PmPool,
-};
+use pmem::{CowImage, EngineHook, OrderingPointInfo, PmCtx, PmPool};
 use xftrace::{SourceLoc, TraceEntry};
 
-use crate::engine::{EngineError, RunOutcome, Workload, XfConfig, XfDetector};
+use crate::engine::{EngineError, RunOutcome, Workload, XfDetector};
 use crate::offline::{RecordedFailurePoint, RecordedRun};
-use crate::prune::PruneCache;
-use crate::report::{BugKind, DetectionReport, FailurePoint, Finding};
+use crate::report::{DetectionReport, FailurePoint, Finding};
+use crate::resolve::{execute_post, note_executed, FpResolver, Post, Source};
 use crate::shadow::ShadowPm;
-use crate::stats::RunStats;
-use crate::xfrun::cache::CachedOutcome;
 use crate::xfrun::RunCtl;
 
-/// A bounded single-producer multi-consumer work queue with chunked,
-/// work-stealing claims.
+/// A bounded multi-consumer FIFO: a `VecDeque` behind one mutex, with a
+/// condition variable per waiting side.
 ///
-/// The seed dispatch was an `mpsc::sync_channel` behind a
-/// `Mutex<Receiver>`: every failure point cost each worker a lock
-/// acquisition on the shared receiver, serializing dispatch exactly where
-/// the engine wants fan-out. Here the producer publishes into a
-/// power-of-two ring of slots and bumps an atomic `tail`; workers claim
-/// *chunks* of pending indices by CAS on a shared `claim` cursor, so a
-/// claim costs one CAS (amortized over up to [`WorkQueue::MAX_CHUNK`]
-/// jobs) and touches per-slot storage nobody else is racing for. A third
-/// cursor, `taken`, trails `claim` and provides the producer's
-/// backpressure bound: at most `bound` items are in flight, keeping the
-/// memory profile of the old bounded channel (`2 × workers` PM images).
-///
-/// The per-slot `Mutex<Option<T>>` is uncontended by construction — the
-/// producer only writes a slot after `taken` proves it empty, and exactly
-/// one worker wins the CAS covering it — it exists to move `T` across
-/// threads without `unsafe` (the crate forbids it). Waiting sides spin
-/// briefly, then park on a timeout; there is no per-item lock handoff.
+/// At most `bound` items wait at once (the engine uses `2 × workers`), so
+/// at most that many crash images are alive in the queue. A push and a pop
+/// each take the lock once — negligible next to a post-failure execution —
+/// and an item can be neither overwritten nor lost: it is owned by the
+/// deque until exactly one worker pops it.
 struct WorkQueue<T> {
-    slots: Box<[Mutex<Option<T>>]>,
-    mask: u64,
-    /// Maximum items in flight (`tail - taken`), ≤ `slots.len()`.
-    bound: u64,
-    /// Next index the producer publishes. Producer-written (Release),
-    /// worker-read (Acquire).
-    tail: AtomicU64,
-    /// Next index a worker may claim. Workers CAS chunks `claim..end`.
-    claim: AtomicU64,
-    /// Indices whose slots have been emptied; the producer's backpressure
-    /// cursor.
-    taken: AtomicU64,
-    closed: AtomicBool,
-    /// Jobs claimed outside the claiming worker's static round-robin share
-    /// (`index % workers != worker`), i.e. work that migrated to an idle
-    /// worker instead of waiting for its "assigned" one.
-    stolen: AtomicU64,
-    workers: u64,
+    state: Mutex<QueueState<T>>,
+    bound: usize,
+    not_empty: Condvar,
+    not_full: Condvar,
+}
+
+struct QueueState<T> {
+    items: VecDeque<T>,
+    closed: bool,
 }
 
 impl<T> WorkQueue<T> {
-    /// Upper bound on a single claim: keeps the tail of the run balanced
-    /// (a worker never hoards jobs another could start on).
-    const MAX_CHUNK: u64 = 4;
-    /// Spin iterations before a waiting side parks.
-    const SPIN: u32 = 64;
-
     fn new(workers: usize) -> Self {
-        let bound = (workers as u64 * 2).max(1);
-        let cap = bound.next_power_of_two();
-        let slots = (0..cap).map(|_| Mutex::new(None)).collect();
+        let bound = (workers * 2).max(1);
         WorkQueue {
-            slots,
-            mask: cap - 1,
+            state: Mutex::new(QueueState {
+                items: VecDeque::with_capacity(bound),
+                closed: false,
+            }),
             bound,
-            tail: AtomicU64::new(0),
-            claim: AtomicU64::new(0),
-            taken: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
-            stolen: AtomicU64::new(0),
-            workers: workers.max(1) as u64,
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
         }
     }
 
-    /// Publishes one item, blocking while `bound` items are in flight.
+    /// Locks the state, recovering from poisoning (a panicking peer must
+    /// not wedge the other side).
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Enqueues `item`, blocking while `bound` items wait.
     fn push(&self, item: T) {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let mut spins = 0u32;
-        while tail - self.taken.load(Ordering::Acquire) >= self.bound {
-            spins += 1;
-            if spins <= Self::SPIN {
-                std::hint::spin_loop();
-            } else {
-                std::thread::park_timeout(Duration::from_micros(50));
-            }
+        let mut st = self.lock();
+        while st.items.len() >= self.bound {
+            st = self
+                .not_full
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        let idx = (tail & self.mask) as usize;
-        *self.slots[idx].lock().expect("queue slot poisoned") = Some(item);
-        self.tail.store(tail + 1, Ordering::Release);
+        st.items.push_back(item);
+        drop(st);
+        self.not_empty.notify_one();
     }
 
     /// Marks the queue closed; workers drain the backlog and then see
-    /// `None` from [`WorkQueue::claim`].
+    /// `None` from [`WorkQueue::pop`].
     fn close(&self) {
-        self.closed.store(true, Ordering::Release);
+        self.lock().closed = true;
+        self.not_empty.notify_all();
     }
 
-    /// Claims the next chunk of jobs for `worker`, blocking while the queue
-    /// is empty and open. Returns `None` once the queue is closed and
-    /// drained.
-    fn claim(&self, worker: usize, out: &mut Vec<T>) -> bool {
-        let mut spins = 0u32;
+    /// Dequeues the next item, blocking while the queue is empty and open.
+    /// Returns `None` once the queue is closed and drained.
+    fn pop(&self) -> Option<T> {
+        let mut st = self.lock();
         loop {
-            let claim = self.claim.load(Ordering::Relaxed);
-            let tail = self.tail.load(Ordering::Acquire);
-            if claim == tail {
-                if self.closed.load(Ordering::Acquire) {
-                    // Re-check: a publish may have raced the close.
-                    if self.tail.load(Ordering::Acquire) == claim {
-                        return false;
-                    }
-                    continue;
-                }
-                spins += 1;
-                if spins <= Self::SPIN {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::park_timeout(Duration::from_micros(50));
-                }
-                continue;
+            if let Some(item) = st.items.pop_front() {
+                drop(st);
+                self.not_full.notify_one();
+                return Some(item);
             }
-            let backlog = tail - claim;
-            // Chunked claims: take a fair share of the backlog, at least
-            // one, at most MAX_CHUNK, never past the published tail.
-            let chunk = (backlog / self.workers)
-                .clamp(1, Self::MAX_CHUNK)
-                .min(backlog);
-            let end = claim + chunk;
-            if self
-                .claim
-                .compare_exchange_weak(claim, end, Ordering::AcqRel, Ordering::Relaxed)
-                .is_err()
-            {
-                continue;
+            if st.closed {
+                return None;
             }
-            let mut stolen = 0u64;
-            for i in claim..end {
-                let slot = (i & self.mask) as usize;
-                let item = self.slots[slot]
-                    .lock()
-                    .expect("queue slot poisoned")
-                    .take()
-                    .expect("claimed slot must be filled");
-                out.push(item);
-                if i % self.workers != worker as u64 {
-                    stolen += 1;
-                }
-            }
-            if stolen != 0 {
-                self.stolen.fetch_add(stolen, Ordering::Relaxed);
-            }
-            self.taken.fetch_add(end - claim, Ordering::Release);
-            return true;
+            st = self
+                .not_empty
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
-
-    fn jobs_stolen(&self) -> u64 {
-        self.stolen.load(Ordering::Relaxed)
-    }
 }
 
-/// The crash snapshot shipped with a job: copy-on-write (cheap to send,
-/// shares the base across all in-flight jobs) or flat (the seed engine's
-/// representation, kept for the `cow_snapshots: false` configuration).
-enum JobImage {
-    Cow(CowImage),
-    Flat(PmImage),
-}
-
-/// A failure-point job shipped to a worker.
+/// A failure point that must execute, shipped to a worker with its crash
+/// image and the shadow checkpoint its trace is checked against.
 struct Job {
-    id: u64,
-    loc: SourceLoc,
-    pre_len: usize,
-    image: JobImage,
-    /// Shadow checkpoint at this failure point, when the worker is to do
-    /// the checking itself ([`XfConfig::parallel_checking`]).
-    shadow: Option<ShadowPm>,
+    fp: FailurePoint,
+    image: CowImage,
+    shadow: ShadowPm,
 }
 
-/// A worker's result for one failure point.
+/// A worker's result for one shipped failure point.
 struct JobResult {
     id: u64,
-    loc: SourceLoc,
-    pre_len: usize,
-    post: Vec<TraceEntry>,
-    outcome: Result<(), String>,
-    panicked: bool,
-    /// The budget watchdog killed this job's post-failure execution
-    /// (`outcome` then carries the deterministic overrun message).
-    budget_exceeded: bool,
+    post: Post,
     /// Snapshot bytes copied building this job's post-failure pool.
     bytes: u64,
-    /// The worker's checking fragment (`None` when checking is left to the
-    /// merge stage).
-    findings: Option<Vec<Finding>>,
+    /// The checked fragment: post-failure findings plus the outcome
+    /// finding.
+    findings: Vec<Finding>,
     /// Wall-clock time the worker spent checking.
     check_time: Duration,
 }
 
-/// A deduplicated failure point: its crash image was byte-identical to the
-/// one job `src_id` executed on, so no job was shipped — the backend
-/// replays `src_id`'s post-failure trace re-anchored at this failure point.
-/// An identical crash *image* does not imply identical *shadow* state, so
-/// the reference carries its own checkpoint and is always checked at merge.
-struct DedupRef {
-    id: u64,
-    loc: SourceLoc,
-    pre_len: usize,
-    src_id: u64,
-    shadow: ShadowPm,
+/// How the merge stage completes one failure point.
+enum Merge {
+    /// A worker executed and checked it; the result arrives from the pool.
+    Shipped,
+    /// A resumed journal explored it: merge its report delta verbatim.
+    Journaled(Vec<Finding>),
+    /// Replay the result of the execution at failure point `rep` (its
+    /// class representative or its image's executor) against this
+    /// failure point's own checkpoint: an identical crash image or class
+    /// does not imply identical shadow state.
+    Rep { rep: u64, shadow: ShadowPm },
+    /// Replay a warm class from the cross-run cache against this failure
+    /// point's own checkpoint.
+    Warm { post: Post, shadow: ShadowPm },
 }
 
-/// A failure point elided by the resumed run journal: no job is shipped;
-/// the merge stage pushes its journaled report delta verbatim.
-struct JournaledRef {
-    id: u64,
-    loc: SourceLoc,
+/// A resolved failure point, in failure-point order.
+struct Pending {
+    fp: FailurePoint,
+    /// Pre-failure entries replayed before this failure point.
     pre_len: usize,
-}
-
-/// A failure point served warm from the cross-run class cache: no image is
-/// captured and no job is shipped. The merge stage replays the persisted
-/// representative trace (re-resolved by `key`) against this member's own
-/// checkpoint, exactly like a [`DedupRef`] whose source ran last campaign.
-struct WarmRef {
-    id: u64,
-    loc: SourceLoc,
-    pre_len: usize,
-    key: u64,
-    shadow: ShadowPm,
+    merge: Merge,
 }
 
 /// The frontend hook for parallel mode: replays the pre-failure trace
-/// incrementally and ships snapshot jobs instead of running recoveries
-/// inline.
+/// incrementally, resolves every failure point and ships the ones that
+/// must execute instead of running recoveries inline.
 struct ParallelFrontend {
-    config: XfConfig,
-    rng: RefCell<StdRng>,
+    resolver: RefCell<FpResolver>,
     jobs: RefCell<Option<Arc<WorkQueue<Job>>>>,
-    stats: RefCell<RunStats>,
     shadow: RefCell<ShadowPm>,
     /// Pre-failure entries replayed into the shadow so far.
     pre_replayed: RefCell<usize>,
@@ -299,25 +188,8 @@ struct ParallelFrontend {
     /// first-wins dedup; `taken` marks findings already moved out.
     pre_findings: RefCell<Vec<(usize, Finding)>>,
     pre_scratch: RefCell<(DetectionReport, usize)>,
-    /// Per-failure-point shadow checkpoints for the serial-checking mode
-    /// (`parallel_checking: false`).
-    checkpoints: RefCell<HashMap<u64, ShadowPm>>,
-    /// Content hash → (job id that executed the image, the image itself
-    /// for exact confirmation).
-    dedup: RefCell<HashMap<ImageHash, (u64, CowImage)>>,
-    /// Persistence-state equivalence classes ([`XfConfig::pruning`]): class
-    /// fingerprint → the job id of the representative that executed it.
-    /// Class hits become [`DedupRef`]s, so no image is captured and no job
-    /// is shipped for them.
-    prune: RefCell<PruneCache<u64>>,
-    refs: RefCell<Vec<DedupRef>>,
-    journaled: RefCell<Vec<JournaledRef>>,
-    warm_refs: RefCell<Vec<WarmRef>>,
-    /// `(class key, representative job id)` pairs to export into the
-    /// cross-run cache once the representative's result is in.
-    pending_exports: RefCell<Vec<(u64, u64)>>,
+    pending: RefCell<Vec<Pending>>,
     recorded: RefCell<Option<RecordedRun>>,
-    ctl: RunCtl,
 }
 
 impl ParallelFrontend {
@@ -337,7 +209,7 @@ impl ParallelFrontend {
             }
             *taken = report.findings().len();
         }
-        self.stats.borrow_mut().pre_entries += drained.len() as u64;
+        self.resolver.borrow_mut().stats_mut().pre_entries += drained.len() as u64;
         if let Some(rec) = self.recorded.borrow_mut().as_mut() {
             rec.pre.extend(drained.into_iter().map(Into::into));
         }
@@ -346,174 +218,53 @@ impl ParallelFrontend {
 
 impl EngineHook for ParallelFrontend {
     fn on_ordering_point(&self, ctx: &mut PmCtx, loc: SourceLoc, info: OrderingPointInfo) {
-        {
-            let mut stats = self.stats.borrow_mut();
-            stats.ordering_points += 1;
-            // Multi-threaded fences are never "empty": the per-thread drain
-            // and cross-thread marking change the exposed crash state.
-            if !info.forced
-                && self.config.skip_empty_failure_points
-                && !info.had_pm_mutation
-                && self.config.threads <= 1
-            {
-                stats.skipped_empty += 1;
-                return;
-            }
-            if let Some(max) = self.config.max_failure_points {
-                if stats.failure_points >= max {
-                    return;
-                }
-            }
+        if !self.resolver.borrow_mut().admit(info) {
+            return;
         }
         // Keep the shadow up to date on the main thread: replaying
         // incrementally here overlaps with the workers, like the paper's
         // overlapped tracing/detection.
         self.replay_pre(ctx.trace().drain());
-        let id = {
-            let mut stats = self.stats.borrow_mut();
-            let id = stats.failure_points;
-            stats.failure_points += 1;
-            id
-        };
         let pre_len = *self.pre_replayed.borrow();
-        // Resume elision: a journaled failure point ships no job at all.
-        // Its recorded report delta is merged verbatim, in order, by the
-        // merge stage.
-        if self.ctl.journaled(id).is_some() {
-            self.journaled
-                .borrow_mut()
-                .push(JournaledRef { id, loc, pre_len });
-            self.stats.borrow_mut().journal_skipped += 1;
-            self.ctl.obs().journal_skip();
-            self.ctl.obs().fp_done();
-            return;
-        }
-        // Equivalence-class pruning: a failure point whose persistence
-        // fingerprint matches an already-explored class captures no image
-        // and ships no job — the merge stage replays the representative's
-        // post-failure trace against this member's own checkpoint, exactly
-        // like an image-dedup reference.
-        let fingerprint = self
-            .prune
-            .borrow()
-            .is_enabled()
-            .then(|| self.shadow.borrow_mut().persistence_fingerprint());
-        // O(1) copy-on-write checkpoint of the shadow at this failure
-        // point — the line slabs are shared until the continuing replay
-        // mutates them.
-        let checkpoint = self.shadow.borrow().clone();
-        // Cross-run cache: a class a previous campaign already executed is
-        // served from the persisted store — no image, no job. Checked
-        // before the in-run prune cache so a fully warm run ships nothing.
-        if let Some(key) = fingerprint {
-            if self.ctl.cache_lookup(key).is_some() {
-                self.warm_refs.borrow_mut().push(WarmRef {
-                    id,
-                    loc,
-                    pre_len,
-                    key,
-                    shadow: checkpoint,
-                });
-                self.ctl.obs().cache_hit();
-                self.ctl.obs().fp_done();
-                return;
-            }
-        }
-        if let Some(key) = fingerprint {
-            if let Some(&src_id) = self.prune.borrow_mut().lookup(key, id) {
-                self.refs.borrow_mut().push(DedupRef {
-                    id,
-                    loc,
-                    pre_len,
-                    src_id,
-                    shadow: checkpoint,
-                });
-                self.ctl.obs().prune_hit();
-                self.ctl.obs().fp_done();
-                return;
-            }
-        }
-        let image = if self.config.cow_snapshots {
-            let image = self
-                .config
-                .crash_policy
-                .cow_image(ctx.pool(), &mut *self.rng.borrow_mut());
-            if self.config.dedup_images {
-                let hash = image.content_hash();
-                let mut dedup = self.dedup.borrow_mut();
-                let hit = dedup
-                    .get(&hash)
-                    .filter(|(_, cached)| cached.same_content(&image))
-                    .map(|(src_id, _)| *src_id);
-                if let Some(src_id) = hit {
-                    // Already explored: record a reference instead of
-                    // shipping (and executing) a redundant job. It keeps
-                    // its own checkpoint — the image may repeat while the
-                    // shadow state differs.
-                    self.refs.borrow_mut().push(DedupRef {
-                        id,
-                        loc,
-                        pre_len,
-                        src_id,
-                        shadow: checkpoint,
-                    });
-                    // The image's executor stands in as this class's
-                    // representative: later class hits replay its trace.
-                    if let Some(key) = fingerprint {
-                        self.prune.borrow_mut().insert(key, src_id);
-                        if self.ctl.cache_enabled() {
-                            self.pending_exports.borrow_mut().push((key, src_id));
-                        }
-                    }
-                    self.stats.borrow_mut().images_deduped += 1;
-                    self.ctl.obs().dedup_hit();
-                    self.ctl.obs().fp_done();
-                    return;
+        let mut shadow = self.shadow.borrow_mut();
+        let (fp, source) = self.resolver.borrow_mut().resolve(ctx, loc, &mut shadow);
+        // Every non-journaled failure point keeps an O(1) copy-on-write
+        // checkpoint of the shadow: the line slabs are shared until the
+        // continuing replay mutates them.
+        let merge = match source {
+            Source::Journaled(findings) => Merge::Journaled(findings),
+            Source::CacheWarm(post) => Merge::Warm {
+                post,
+                shadow: shadow.clone(),
+            },
+            Source::Pruned(rep) | Source::ImageDedup(rep) => Merge::Rep {
+                rep,
+                shadow: shadow.clone(),
+            },
+            Source::Execute(image) => {
+                let job = Job {
+                    fp,
+                    image,
+                    shadow: shadow.clone(),
+                };
+                drop(shadow);
+                // Blocks when the bounded queue is full: backpressure
+                // bounds the number of in-flight PM images.
+                if let Some(queue) = self.jobs.borrow().as_ref() {
+                    queue.push(job);
                 }
-                dedup.insert(hash, (id, image.clone()));
+                Merge::Shipped
             }
-            JobImage::Cow(image)
-        } else {
-            JobImage::Flat(
-                self.config
-                    .crash_policy
-                    .image(ctx.pool(), &mut *self.rng.borrow_mut()),
-            )
         };
-        // This job becomes its class's representative. On an audit run
-        // (`Pruning::Sampled`) the class already has one; `insert` keeps it.
-        if let Some(key) = fingerprint {
-            self.prune.borrow_mut().insert(key, id);
-            if self.ctl.cache_enabled() {
-                self.pending_exports.borrow_mut().push((key, id));
-            }
-        }
-        self.stats.borrow_mut().post_runs += 1;
-        let shadow = if self.config.parallel_checking {
-            Some(checkpoint)
-        } else {
-            self.checkpoints.borrow_mut().insert(id, checkpoint);
-            None
-        };
-        let job = Job {
-            id,
-            loc,
-            pre_len,
-            image,
-            shadow,
-        };
-        // Blocks when the bounded queue is full: backpressure bounds the
-        // number of in-flight PM images.
-        if let Some(queue) = self.jobs.borrow().as_ref() {
-            queue.push(job);
-        }
+        self.pending
+            .borrow_mut()
+            .push(Pending { fp, pre_len, merge });
     }
 }
 
 impl XfDetector {
-    /// Runs the detection procedure with post-failure executions — and,
-    /// with [`XfConfig::parallel_checking`], post-failure trace checking —
-    /// spread over `workers` threads. Produces the same report as
+    /// Runs the detection procedure with post-failure execution and
+    /// checking spread over `workers` threads. Produces the same report as
     /// [`XfDetector::run`], in deterministic (failure-point) order.
     ///
     /// `workers == 0` means "use all available parallelism"
@@ -546,7 +297,7 @@ impl XfDetector {
         } else {
             workers
         };
-        let config = self.config().clone();
+        let config = self.config();
         let pool = PmPool::new(workload.pool_size()).map_err(EngineError::Pm)?;
         let mut ctx = PmCtx::new(pool);
 
@@ -558,120 +309,66 @@ impl XfDetector {
         let queue = Arc::new(WorkQueue::<Job>::new(workers));
         let (res_tx, res_rx) = mpsc::channel::<JobResult>();
 
+        let mut shadow = ShadowPm::with_domain(config.domain);
+        if config.pruning.is_enabled() {
+            shadow.enable_fingerprinting();
+        }
         let frontend = std::rc::Rc::new(ParallelFrontend {
-            config: config.clone(),
-            rng: RefCell::new(StdRng::seed_from_u64(config.rng_seed)),
+            resolver: RefCell::new(FpResolver::new(config, ctl.clone())),
             jobs: RefCell::new(Some(Arc::clone(&queue))),
-            stats: RefCell::new(RunStats::default()),
-            shadow: RefCell::new({
-                let mut shadow = ShadowPm::with_domain(config.domain);
-                if config.pruning.is_enabled() {
-                    shadow.enable_fingerprinting();
-                }
-                shadow
-            }),
+            shadow: RefCell::new(shadow),
             pre_replayed: RefCell::new(0),
             pre_findings: RefCell::new(Vec::new()),
             pre_scratch: RefCell::new((DetectionReport::new(), 0)),
-            checkpoints: RefCell::new(HashMap::new()),
-            dedup: RefCell::new(HashMap::new()),
-            prune: RefCell::new(PruneCache::new(config.pruning)),
-            refs: RefCell::new(Vec::new()),
-            journaled: RefCell::new(Vec::new()),
-            warm_refs: RefCell::new(Vec::new()),
-            pending_exports: RefCell::new(Vec::new()),
-            recorded: RefCell::new(if config.record_trace {
-                Some(RecordedRun {
-                    domain: config.domain,
-                    ..RecordedRun::default()
-                })
-            } else {
-                None
-            }),
-            ctl: ctl.clone(),
+            pending: RefCell::new(Vec::new()),
+            recorded: RefCell::new(config.record_trace.then(|| RecordedRun {
+                domain: config.domain,
+                ..RecordedRun::default()
+            })),
         });
 
         let workload_ref = &workload;
         let first_read_only = config.first_read_only;
         let (pre_result, results, post_exec_time) = std::thread::scope(|scope| {
-            for worker_idx in 0..workers {
+            for _ in 0..workers {
                 let queue = Arc::clone(&queue);
                 let res_tx = res_tx.clone();
                 let budget = config.post_budget.clone();
                 let obs = ctl.obs().clone();
                 scope.spawn(move || {
-                    let mut batch = Vec::with_capacity(WorkQueue::<Job>::MAX_CHUNK as usize);
-                    while queue.claim(worker_idx, &mut batch) {
-                        for job in batch.drain(..) {
-                            // Each worker builds its own post context from the
-                            // image; nothing non-Send crosses threads.
-                            let mut post_ctx = match &job.image {
-                                JobImage::Cow(img) => PmCtx::new_post(PmPool::from_cow(img)),
-                                JobImage::Flat(img) => PmCtx::new_post(PmPool::from_image(img)),
-                            };
-                            if let Some(b) = &budget {
-                                post_ctx.arm_budget(b.clone());
-                            }
-                            // Workers always quarantine: a panic (or a budget
-                            // watchdog kill, delivered by unwinding) is
-                            // confined to this failure point and reported as
-                            // a finding — it never takes down the pool, so
-                            // the run continues past the failing job even
-                            // with `catch_post_panics` off.
-                            let (outcome, panicked, budget_exceeded) =
-                                match catch_unwind(AssertUnwindSafe(|| {
-                                    workload_ref.post_failure(&mut post_ctx)
-                                })) {
-                                    Ok(Ok(())) => (Ok(()), false, false),
-                                    Ok(Err(e)) => (Err(e.to_string()), false, false),
-                                    Err(p) => match p.downcast::<BudgetOverrun>() {
-                                        Ok(overrun) => (Err(overrun.to_string()), false, true),
-                                        Err(p) => {
-                                            (Err(crate::engine::panic_message(&*p)), true, false)
-                                        }
-                                    },
-                                };
-                            let bytes = post_ctx.pool().snapshot_bytes_copied();
-                            let post = post_ctx.trace().drain();
-                            // Worker-side checking: replay the post trace
-                            // against the shipped shadow checkpoint into a
-                            // fragment. Pre- and post-stage bug kinds are
-                            // disjoint, so fragment-local dedup composes with
-                            // the merge report's global dedup.
-                            let (findings, check_time) = match &job.shadow {
-                                Some(shadow) => {
-                                    let t1 = Instant::now();
-                                    let fp = FailurePoint {
-                                        id: job.id,
-                                        loc: job.loc,
-                                    };
-                                    let mut checker = shadow.begin_post(first_read_only);
-                                    let mut frag = DetectionReport::new();
-                                    for e in &post {
-                                        checker.apply_post(e, fp, &mut frag);
-                                    }
-                                    (Some(frag.into_findings()), t1.elapsed())
-                                }
-                                None => (None, Duration::ZERO),
-                            };
-                            obs.post_run();
-                            if budget_exceeded {
-                                obs.budget_kill();
-                            }
-                            obs.fp_done();
-                            let _ = res_tx.send(JobResult {
-                                id: job.id,
-                                loc: job.loc,
-                                pre_len: job.pre_len,
-                                post,
-                                outcome,
-                                panicked,
-                                budget_exceeded,
-                                bytes,
-                                findings,
-                                check_time,
-                            });
-                        }
+                    while let Some(job) = queue.pop() {
+                        // Each worker builds its own post context from the
+                        // image; nothing non-Send crosses threads. Workers
+                        // always quarantine: a panic (or a budget kill) is
+                        // confined to this failure point and reported as a
+                        // finding, so the pool survives a failing job even
+                        // with `catch_post_panics` off.
+                        let mut post_ctx = PmCtx::new_post(PmPool::from_cow(&job.image));
+                        let outcome = execute_post(
+                            &|c| workload_ref.post_failure(c),
+                            &mut post_ctx,
+                            budget.as_ref(),
+                            true,
+                        );
+                        let post = Post {
+                            trace: post_ctx.trace().drain().into(),
+                            outcome,
+                        };
+                        // Worker-side checking into a fragment. Pre- and
+                        // post-stage bug kinds are disjoint, so fragment-local
+                        // dedup composes with the merge report's global dedup.
+                        let t_check = Instant::now();
+                        let mut fragment = DetectionReport::new();
+                        post.check(&job.shadow, job.fp, first_read_only, &mut fragment);
+                        let check_time = t_check.elapsed();
+                        note_executed(&obs, &post.outcome);
+                        let _ = res_tx.send(JobResult {
+                            id: job.fp.id,
+                            post,
+                            bytes: post_ctx.pool().snapshot_bytes_copied(),
+                            findings: fragment.into_findings(),
+                            check_time,
+                        });
                     }
                 });
             }
@@ -690,16 +387,8 @@ impl XfDetector {
             // Hang up the job queue so the workers drain and exit.
             frontend.jobs.borrow_mut().take();
             queue.close();
-            let mut results: Vec<JobResult> = Vec::new();
-            let expected = frontend.stats.borrow().post_runs;
-            while (results.len() as u64) < expected {
-                match res_rx.recv() {
-                    Ok(r) => results.push(r),
-                    Err(_) => break,
-                }
-            }
-            let post_exec_time = t_post.elapsed();
-            (pre_result, results, post_exec_time)
+            let results: HashMap<u64, JobResult> = res_rx.iter().map(|r| (r.id, r)).collect();
+            (pre_result, results, t_post.elapsed())
         });
 
         // Trailing pre entries (after the last failure point): tail-end
@@ -707,236 +396,90 @@ impl XfDetector {
         frontend.replay_pre(ctx.trace().drain());
         pre_result.map_err(|e| EngineError::PreFailure(e.to_string()))?;
 
-        // Deterministic merge in failure-point order. Fragments checked by
-        // workers are spliced in as-is; serial-checking jobs and dedup
-        // references are checked here against their own checkpoints. Dedup
-        // references replay the source job's post-failure trace (the post
-        // run is a pure function of the crash image) but against their own
-        // shadow state and failure point, exactly as the sequential engine
-        // does, so the merged report stays byte-identical.
-        let mut results = results;
-        results.sort_by_key(|r| r.id);
-        let by_id: HashMap<u64, usize> =
-            results.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
-        // Export this run's class representatives into the cross-run cache,
-        // now that their results (trace + outcome) are in.
-        for &(key, src_id) in frontend.pending_exports.borrow().iter() {
-            let Some(&i) = by_id.get(&src_id) else {
-                continue;
-            };
-            let r = &results[i];
-            let msg = r.outcome.as_ref().err().cloned().unwrap_or_default();
-            let outcome = if r.budget_exceeded {
-                CachedOutcome::BudgetExceeded(msg)
-            } else if r.panicked {
-                CachedOutcome::Panicked(msg)
-            } else {
-                match &r.outcome {
-                    Ok(()) => CachedOutcome::Completed,
-                    Err(m) => CachedOutcome::Failed(m.clone()),
-                }
-            };
-            frontend.ctl.cache_export(key, &r.post, outcome);
+        let mut resolver = frontend.resolver.borrow_mut();
+        let mut ids: Vec<u64> = results.keys().copied().collect();
+        ids.sort_unstable();
+        for id in ids {
+            resolver.executed(id, &results[&id].post);
         }
-        let checkpoints = frontend.checkpoints.borrow();
-        let refs = frontend.refs.borrow();
-        let journaled_refs = frontend.journaled.borrow();
-        let warm_refs = frontend.warm_refs.borrow();
-        let warm_classes: Vec<_> = warm_refs
-            .iter()
-            .filter_map(|w| frontend.ctl.cache_peek(w.key).map(|class| (w, class)))
-            .collect();
-        let warm_outcomes: Vec<Result<(), String>> = warm_classes
-            .iter()
-            .map(|(_, class)| match &class.outcome {
-                CachedOutcome::Completed => Ok(()),
-                CachedOutcome::Failed(m)
-                | CachedOutcome::Panicked(m)
-                | CachedOutcome::BudgetExceeded(m) => Err(m.clone()),
-            })
-            .collect();
-        let ok_outcome: Result<(), String> = Ok(());
-        enum Work<'a> {
-            /// The worker already checked; splice its fragment in.
-            Checked(&'a [Finding]),
-            /// Check here: replay `post` against `shadow`.
-            Check {
-                shadow: &'a ShadowPm,
-                post: &'a [TraceEntry],
-            },
-        }
-        struct Item<'a> {
-            id: u64,
-            loc: SourceLoc,
-            pre_len: usize,
-            outcome: &'a Result<(), String>,
-            panicked: bool,
-            budget_exceeded: bool,
-            /// Came from the resumed journal: its findings are merged
-            /// verbatim and it must not be re-appended.
-            from_journal: bool,
-            post: &'a [TraceEntry],
-            work: Work<'a>,
-        }
-        let mut items: Vec<Item<'_>> = results
-            .iter()
-            .map(|r| Item {
-                id: r.id,
-                loc: r.loc,
-                pre_len: r.pre_len,
-                outcome: &r.outcome,
-                panicked: r.panicked,
-                budget_exceeded: r.budget_exceeded,
-                from_journal: false,
-                post: &r.post,
-                work: match (&r.findings, checkpoints.get(&r.id)) {
-                    (Some(f), _) => Work::Checked(f),
-                    (None, Some(shadow)) => Work::Check {
-                        shadow,
-                        post: &r.post,
-                    },
-                    // Unreachable in practice: every unchecked job left a
-                    // checkpoint behind. Degrade to an empty fragment.
-                    (None, None) => Work::Checked(&[]),
-                },
-            })
-            .collect();
-        for d in refs.iter() {
-            // The source job always precedes its references; it can only
-            // be missing if a worker died mid-run, in which case the
-            // reference is dropped along with the lost result.
-            let Some(&src) = by_id.get(&d.src_id) else {
-                continue;
-            };
-            let src = &results[src];
-            items.push(Item {
-                id: d.id,
-                loc: d.loc,
-                pre_len: d.pre_len,
-                outcome: &src.outcome,
-                panicked: src.panicked,
-                budget_exceeded: src.budget_exceeded,
-                from_journal: false,
-                post: &src.post,
-                work: Work::Check {
-                    shadow: &d.shadow,
-                    post: &src.post,
-                },
-            });
-        }
-        for j in journaled_refs.iter() {
-            let Some(rec) = frontend.ctl.journaled(j.id) else {
-                continue;
-            };
-            items.push(Item {
-                id: j.id,
-                loc: j.loc,
-                pre_len: j.pre_len,
-                outcome: &ok_outcome,
-                panicked: false,
-                budget_exceeded: false,
-                from_journal: true,
-                post: &[],
-                work: Work::Checked(&rec.findings),
-            });
-        }
-        for (i, (w, class)) in warm_classes.iter().enumerate() {
-            // A warm item replays the persisted trace against its own
-            // checkpoint and re-emits the representative's outcome finding;
-            // the budget flag stays out of `stats.budget_exceeded`, which
-            // counts executed results only.
-            items.push(Item {
-                id: w.id,
-                loc: w.loc,
-                pre_len: w.pre_len,
-                outcome: &warm_outcomes[i],
-                panicked: matches!(class.outcome, CachedOutcome::Panicked(_)),
-                budget_exceeded: matches!(class.outcome, CachedOutcome::BudgetExceeded(_)),
-                from_journal: false,
-                post: &class.post,
-                work: Work::Check {
-                    shadow: &w.shadow,
-                    post: &class.post,
-                },
-            });
-        }
-        items.sort_by_key(|r| r.id);
 
+        // Deterministic merge in failure-point order. Worker fragments are
+        // spliced in as-is; elided failure points replay their source's
+        // post-failure trace (the post run is a pure function of the crash
+        // image) against their own checkpoint, exactly as the sequential
+        // engine does, so the merged report stays byte-identical.
         let pre_findings = frontend.pre_findings.borrow();
-        let mut pf_cursor = 0usize;
+        let mut pre_cursor = 0usize;
+        let mut recorded = frontend.recorded.borrow_mut().take();
         let mut report = DetectionReport::new();
         let mut post_entries = 0u64;
-        let mut main_check_time = Duration::ZERO;
+        let mut merge_check_time = Duration::ZERO;
         let t_detect = Instant::now();
-        for it in &items {
+        for p in frontend.pending.borrow().iter() {
             // Pre-failure findings discovered up to this failure point go
             // first, as in the sequential engine's incremental replay.
-            while pf_cursor < pre_findings.len() && pre_findings[pf_cursor].0 <= it.pre_len {
-                report.push(pre_findings[pf_cursor].1.clone());
-                pf_cursor += 1;
+            while pre_cursor < pre_findings.len() && pre_findings[pre_cursor].0 <= p.pre_len {
+                report.push(pre_findings[pre_cursor].1.clone());
+                pre_cursor += 1;
             }
-            let fp = FailurePoint {
-                id: it.id,
-                loc: it.loc,
-            };
             let delta_start = report.findings().len();
-            match it.work {
-                Work::Checked(fragment) => {
-                    for f in fragment {
+            let post = match &p.merge {
+                Merge::Journaled(findings) => {
+                    for f in findings {
                         report.push(f.clone());
                     }
+                    None
                 }
-                Work::Check { shadow, post } => {
-                    let t1 = Instant::now();
-                    let mut checker = shadow.begin_post(config.first_read_only);
-                    for e in post {
-                        checker.apply_post(e, fp, &mut report);
+                Merge::Shipped => {
+                    let r = &results[&p.fp.id];
+                    for f in &r.findings {
+                        report.push(f.clone());
                     }
-                    main_check_time += t1.elapsed();
+                    Some(&r.post)
                 }
-            }
-            post_entries += it.post.len() as u64;
-            if let Err(msg) = it.outcome {
-                report.push(Finding {
-                    kind: if it.budget_exceeded {
-                        BugKind::BudgetExceeded
-                    } else if it.panicked {
-                        BugKind::PostFailurePanic
-                    } else {
-                        BugKind::PostFailureError
-                    },
-                    addr: 0,
-                    size: 0,
-                    reader: Some(it.loc),
-                    writer: None,
-                    failure_point: Some(fp),
-                    message: Some(msg.clone()),
-                });
+                Merge::Rep { rep, shadow } => {
+                    let post = resolver
+                        .rep(*rep)
+                        .expect("a representative executes before its members");
+                    let t_check = Instant::now();
+                    post.check(shadow, p.fp, first_read_only, &mut report);
+                    merge_check_time += t_check.elapsed();
+                    Some(post)
+                }
+                Merge::Warm { post, shadow } => {
+                    let t_check = Instant::now();
+                    post.check(shadow, p.fp, first_read_only, &mut report);
+                    merge_check_time += t_check.elapsed();
+                    Some(post)
+                }
+            };
+            let trace: &[TraceEntry] = post.map_or(&[], |post| &post.trace);
+            post_entries += trace.len() as u64;
+            if let Some(rec) = recorded.as_mut() {
+                let fp = RecordedFailurePoint::new(p.pre_len, p.fp.loc, trace);
+                rec.failure_points.push(fp);
             }
             // Journal appends happen here, in id order, so the journal is
-            // as deterministic as the report. A journaled item is already
-            // on disk and is not re-appended.
-            if !it.from_journal {
-                frontend
-                    .ctl
-                    .append_fp(it.id, it.loc, &report.findings()[delta_start..]);
+            // as deterministic as the report. A journaled failure point is
+            // already on disk and is not re-appended.
+            if post.is_some() {
+                ctl.append_fp(p.fp.id, p.fp.loc, &report.findings()[delta_start..]);
             }
         }
-        while pf_cursor < pre_findings.len() {
-            report.push(pre_findings[pf_cursor].1.clone());
-            pf_cursor += 1;
+        while pre_cursor < pre_findings.len() {
+            report.push(pre_findings[pre_cursor].1.clone());
+            pre_cursor += 1;
         }
         let detect_time = t_detect.elapsed();
 
-        let mut stats = frontend.stats.borrow().clone();
+        let mut stats = resolver.finish();
         stats.total_time = t_start.elapsed();
         stats.post_exec_time = post_exec_time;
         // `detect_time` is the residual serial merge; `check_time` is the
         // summed checking time wherever it ran.
         stats.detect_time = detect_time;
-        stats.check_time = results.iter().map(|r| r.check_time).sum::<Duration>() + main_check_time;
-        stats.checks_parallelized = results.iter().filter(|r| r.findings.is_some()).count() as u64;
-        stats.jobs_stolen = queue.jobs_stolen();
+        stats.check_time =
+            results.values().map(|r| r.check_time).sum::<Duration>() + merge_check_time;
         stats.post_entries = post_entries;
         {
             let shadow = frontend.shadow.borrow();
@@ -945,30 +488,8 @@ impl XfDetector {
         }
         // Workers accounted their post-failure pools; the frontend pool's
         // capture and COW-fault traffic is read off at the end.
-        stats.snapshot_bytes_copied +=
-            results.iter().map(|r| r.bytes).sum::<u64>() + ctx.pool().snapshot_bytes_copied();
-        // Budget kills count per *executed* representative only — dedup and
-        // pruning references inherit the representative's overrun finding
-        // but not its kill, matching the sequential engine's accounting.
-        stats.budget_exceeded = results.iter().filter(|r| r.budget_exceeded).count() as u64;
-        {
-            let prune = frontend.prune.borrow();
-            stats.finish_pruning(prune.classes_total(), prune.fps_pruned());
-        }
-        // Assemble the recorded run from the merged items: the frontend
-        // accumulated the pre trace, each item contributes its (possibly
-        // shared) post trace in failure-point order.
-        let recorded = frontend.recorded.borrow_mut().take().map(|mut rec| {
-            for it in &items {
-                rec.failure_points.push(RecordedFailurePoint {
-                    pre_len: it.pre_len,
-                    file: it.loc.file.to_owned(),
-                    line: it.loc.line,
-                    post: it.post.iter().copied().map(Into::into).collect(),
-                });
-            }
-            rec
-        });
+        stats.snapshot_bytes_copied =
+            results.values().map(|r| r.bytes).sum::<u64>() + ctx.pool().snapshot_bytes_copied();
         Ok(RunOutcome {
             report,
             stats,
@@ -980,6 +501,7 @@ impl XfDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::BugKind;
 
     /// A workload with a reliable race, safe to share across threads.
     struct Racy;
@@ -1036,23 +558,8 @@ mod tests {
                 "worker count {workers}"
             );
             assert_eq!(seq.stats.failure_points, par.stats.failure_points);
-            assert_eq!(
-                par.stats.checks_parallelized, par.stats.post_runs,
-                "every executed job must have been checked by its worker"
-            );
+            assert_eq!(seq.stats.post_runs, par.stats.post_runs);
         }
-    }
-
-    #[test]
-    fn serial_checking_mode_matches_parallel_checking() {
-        let cfg = XfConfig {
-            parallel_checking: false,
-            ..XfConfig::default()
-        };
-        let serial = XfDetector::new(cfg).run_parallel(Racy, 4).unwrap();
-        let parallel = XfDetector::with_defaults().run_parallel(Racy, 4).unwrap();
-        assert_eq!(finding_keys(&serial), finding_keys(&parallel));
-        assert_eq!(serial.stats.checks_parallelized, 0);
     }
 
     #[test]
@@ -1098,46 +605,72 @@ mod tests {
         assert_eq!(finding_keys(&seq), finding_keys(&par));
     }
 
+    /// Pushes `jobs` items through a queue sized for `workers` while that
+    /// many consumers pop, each pausing after some pops so claims and
+    /// pushes interleave every way the scheduler allows. Returns what the
+    /// consumers received.
+    fn drain_concurrently(workers: usize, jobs: u64) -> Vec<u64> {
+        let queue = Arc::new(WorkQueue::<u64>::new(workers));
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let queue = Arc::clone(&queue);
+                    scope.spawn(move || {
+                        let mut got = Vec::new();
+                        while let Some(item) = queue.pop() {
+                            got.push(item);
+                            if (item + w as u64).is_multiple_of(7) {
+                                std::thread::yield_now();
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            for i in 0..jobs {
+                queue.push(i);
+            }
+            queue.close();
+            let mut all: Vec<u64> = handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("worker panicked"))
+                .collect();
+            all.sort_unstable();
+            all
+        })
+    }
+
     #[test]
     fn work_queue_delivers_every_job_exactly_once() {
-        const JOBS: u64 = 500;
         for workers in [1usize, 2, 4] {
-            let queue = Arc::new(WorkQueue::<u64>::new(workers));
-            let collected = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let queue = Arc::clone(&queue);
-                        scope.spawn(move || {
-                            let mut got = Vec::new();
-                            let mut batch = Vec::new();
-                            while queue.claim(w, &mut batch) {
-                                got.append(&mut batch);
-                            }
-                            got
-                        })
-                    })
-                    .collect();
-                for i in 0..JOBS {
-                    queue.push(i);
-                }
-                queue.close();
-                let mut all = Vec::new();
-                for h in handles {
-                    all.extend(h.join().expect("worker panicked"));
-                }
-                all
-            });
-            let mut all = collected;
-            all.sort_unstable();
-            assert_eq!(all, (0..JOBS).collect::<Vec<_>>(), "workers {workers}");
+            assert_eq!(
+                drain_concurrently(workers, 500),
+                (0..500).collect::<Vec<_>>(),
+                "workers {workers}"
+            );
         }
     }
 
     #[test]
-    fn work_queue_bounds_in_flight_items() {
-        // With no consumer, the producer must be able to publish exactly
-        // `bound` items without blocking; verified indirectly by pushing
-        // from a thread and asserting it parks rather than overruns.
+    fn work_queue_survives_a_stress_run_at_two_and_four_workers() {
+        // Every item pushed must come out exactly once however pops and
+        // pushes interleave: a slot-reusing queue loses or duplicates
+        // items here, or hangs.
+        for workers in [2usize, 4] {
+            for round in 0..20 {
+                assert_eq!(
+                    drain_concurrently(workers, 5_000),
+                    (0..5_000).collect::<Vec<_>>(),
+                    "workers {workers}, round {round}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn work_queue_bounds_waiting_items() {
+        // With no consumer, the producer publishes exactly `bound` items
+        // and then blocks until a pop makes room.
         let queue = Arc::new(WorkQueue::<u64>::new(2)); // bound = 4
         let q2 = Arc::clone(&queue);
         let producer = std::thread::spawn(move || {
@@ -1145,51 +678,17 @@ mod tests {
                 q2.push(i);
             }
         });
-        std::thread::sleep(Duration::from_millis(50));
-        // Only `bound` published so far.
-        assert_eq!(queue.tail.load(Ordering::Acquire), 4);
-        let mut got = Vec::new();
-        let mut batch = Vec::new();
-        while got.len() < 8 {
-            assert!(queue.claim(0, &mut batch));
-            got.append(&mut batch);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while queue.lock().items.len() < 4 {
+            assert!(std::time::Instant::now() < deadline, "producer stalled");
+            std::thread::yield_now();
         }
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(queue.lock().items.len(), 4, "only `bound` published so far");
+        let got: Vec<u64> = (0..8).map(|_| queue.pop().expect("open queue")).collect();
         producer.join().unwrap();
         queue.close();
-        assert!(
-            !queue.claim(0, &mut batch),
-            "drained queue must report closed"
-        );
-        got.sort_unstable();
-        assert_eq!(got, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn work_queue_counts_steals_against_round_robin() {
-        // A single consumer claiming as "worker 1" of 2 steals every job
-        // with an even index. Stay within the backpressure bound
-        // (2 × workers = 4): `push` blocks once it is exceeded.
-        let queue = WorkQueue::<u64>::new(2);
-        for i in 0..4 {
-            queue.push(i);
-        }
-        queue.close();
-        let mut batch = Vec::new();
-        let mut got = Vec::new();
-        while queue.claim(1, &mut batch) {
-            got.append(&mut batch);
-        }
-        assert_eq!(got.len(), 4);
-        assert_eq!(queue.jobs_stolen(), 2, "indices 0 and 2 belong to worker 0");
-    }
-
-    #[test]
-    fn parallel_run_reports_queue_counters() {
-        let par = XfDetector::with_defaults().run_parallel(Racy, 4).unwrap();
-        // With 4 workers and ~20 failure points some claims land off the
-        // round-robin share on any schedule with 1 worker doing >1/4 of the
-        // work; the counter must at minimum be wired (not negative — u64 —
-        // and bounded by the job count).
-        assert!(par.stats.jobs_stolen <= par.stats.post_runs);
+        assert!(queue.pop().is_none(), "a drained, closed queue ends");
+        assert_eq!(got, (0..8).collect::<Vec<_>>(), "FIFO order");
     }
 }

@@ -89,10 +89,6 @@ pub struct RunStats {
     /// Approximate resident size of the shadow PM at the end of the run —
     /// the per-failure-point cost a deep-copying checkpoint would pay.
     pub shadow_resident_bytes: u64,
-    /// Failure points whose post-failure replay + checking ran inside a
-    /// worker thread instead of the merge stage (zero for sequential runs
-    /// and for `parallel_checking: false`).
-    pub checks_parallelized: u64,
     /// Batches handed from the streaming frontend to the detection backend
     /// through the bounded trace FIFO (zero outside
     /// `xfstream::run_pipelined`).
@@ -104,16 +100,11 @@ pub struct RunStats {
     /// traced program when detection falls behind (§5.1).
     pub stream_stall_time: Duration,
     /// Bounded spin-loop iterations the streaming ring's producer and
-    /// consumer burned waiting for the other side before parking (zero for
-    /// the Mutex+Condvar ablation ring, which blocks immediately).
+    /// consumer burned waiting for the other side before parking.
     pub ring_spins: u64,
     /// Times a ring side exhausted its spin budget and parked its thread
     /// until the other side woke it.
     pub ring_parks: u64,
-    /// Failure-point jobs a parallel worker claimed outside its static
-    /// round-robin share — the work the atomic claim index let idle workers
-    /// steal from slow ones (zero for sequential and streaming runs).
-    pub jobs_stolen: u64,
     /// Concrete schedule plans explored by a concurrent run
     /// ([`Session::run_concurrent`]): 1 for `rr`/`seed:N`, `threads^K` for
     /// `exhaustive:K`, and 0 for plain single-workload runs.
@@ -128,18 +119,18 @@ pub struct RunStats {
     /// [`BugKind::CrossThreadRace`]: crate::BugKind::CrossThreadRace
     /// [`BugKind::CrossThreadSemantic`]: crate::BugKind::CrossThreadSemantic
     pub cross_thread_findings: u64,
-    /// Bytes retained by the post-trace arena backing the dedup/prune
-    /// caches: cache hits replay arena spans instead of cloning whole
-    /// per-failure-point trace vectors.
-    pub arena_bytes: u64,
+    /// Bytes of post-failure traces kept as representatives for the
+    /// dedup/prune caches at the end of the run. A cache hit shares the
+    /// kept trace instead of cloning it.
+    pub retained_trace_bytes: u64,
     /// Total wall-clock time of the detection run.
     pub total_time: Duration,
     /// Summed wall-clock time of post-failure executions.
     pub post_exec_time: Duration,
     /// Summed wall-clock time of backend trace replay and checking. For
-    /// parallel runs with worker-side checking this is the residual serial
-    /// merge time, not the summed per-failure-point checking time (which
-    /// moves into `check_time`).
+    /// parallel runs this is the residual serial merge time, not the
+    /// summed per-failure-point checking time (which moves into
+    /// `check_time`).
     pub detect_time: Duration,
     /// Summed wall-clock time of post-failure trace checking across all
     /// failure points, wherever it ran (worker threads or the merge
@@ -223,7 +214,6 @@ mod tests {
         assert!(json.contains("images_deduped"), "{json}");
         assert!(json.contains("snapshot_bytes_copied"), "{json}");
         assert!(json.contains("shadow_bytes_cloned"), "{json}");
-        assert!(json.contains("checks_parallelized"), "{json}");
         assert!(json.contains("check_time"), "{json}");
         assert!(json.contains("stream_batches"), "{json}");
         assert!(json.contains("stream_stall_time"), "{json}");
@@ -232,8 +222,7 @@ mod tests {
         assert!(json.contains("pruning_ratio"), "{json}");
         assert!(json.contains("ring_spins"), "{json}");
         assert!(json.contains("ring_parks"), "{json}");
-        assert!(json.contains("jobs_stolen"), "{json}");
-        assert!(json.contains("arena_bytes"), "{json}");
+        assert!(json.contains("retained_trace_bytes"), "{json}");
         assert!(json.contains("schedules_explored"), "{json}");
         assert!(json.contains("cross_thread_findings"), "{json}");
         assert!(json.contains("cache_hits"), "{json}");

@@ -33,70 +33,48 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
-use xftrace::{OwnedTraceEntry, TraceEntry};
+use xftrace::OwnedTraceEntry;
 
 use crate::error::XfError;
+use crate::resolve::{Post, PostOutcome};
 
 /// Schema version of the on-disk cache document. Bumping it invalidates
 /// every existing cache file (readers treat a mismatch as a cold start).
 const CACHE_SCHEMA_VERSION: u32 = 1;
 
-/// Outcome of a cached class representative's post-failure execution,
-/// replayed verbatim on a warm hit so outcome findings (errors, panics,
-/// budget kills) stay byte-identical across runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum CachedOutcome {
-    /// The post-failure stage completed normally.
-    Completed,
-    /// The post-failure stage returned an error.
-    Failed(String),
-    /// The post-failure stage panicked.
-    Panicked(String),
-    /// The budget watchdog killed the execution. A warm replay re-emits
-    /// the finding but never counts as a kill ([`RunStats::budget_exceeded`]
-    /// tallies executed representatives only).
-    ///
-    /// [`RunStats::budget_exceeded`]: crate::RunStats::budget_exceeded
-    BudgetExceeded(String),
-}
-
-impl CachedOutcome {
+/// The on-disk spelling of a cached representative's outcome: a kind tag
+/// plus the message, replayed verbatim on a warm hit so outcome findings
+/// (errors, panics, budget kills) stay byte-identical across runs. A warm
+/// replay of a budget kill re-emits the finding but never counts as a kill
+/// ([`RunStats::budget_exceeded`] tallies executed representatives only).
+///
+/// [`RunStats::budget_exceeded`]: crate::RunStats::budget_exceeded
+impl PostOutcome {
     fn kind(&self) -> &'static str {
         match self {
-            CachedOutcome::Completed => "completed",
-            CachedOutcome::Failed(_) => "failed",
-            CachedOutcome::Panicked(_) => "panicked",
-            CachedOutcome::BudgetExceeded(_) => "budget",
+            PostOutcome::Completed => "completed",
+            PostOutcome::Failed(_) => "failed",
+            PostOutcome::Panicked(_) => "panicked",
+            PostOutcome::BudgetExceeded(_) => "budget",
         }
     }
 
     fn message(&self) -> &str {
         match self {
-            CachedOutcome::Completed => "",
-            CachedOutcome::Failed(m)
-            | CachedOutcome::Panicked(m)
-            | CachedOutcome::BudgetExceeded(m) => m,
+            PostOutcome::Completed => "",
+            PostOutcome::Failed(m) | PostOutcome::Panicked(m) | PostOutcome::BudgetExceeded(m) => m,
         }
     }
 
-    fn from_parts(kind: &str, message: String) -> Option<CachedOutcome> {
+    fn from_parts(kind: &str, message: String) -> Option<PostOutcome> {
         Some(match kind {
-            "completed" => CachedOutcome::Completed,
-            "failed" => CachedOutcome::Failed(message),
-            "panicked" => CachedOutcome::Panicked(message),
-            "budget" => CachedOutcome::BudgetExceeded(message),
+            "completed" => PostOutcome::Completed,
+            "failed" => PostOutcome::Failed(message),
+            "panicked" => PostOutcome::Panicked(message),
+            "budget" => PostOutcome::BudgetExceeded(message),
             _ => return None,
         })
     }
-}
-
-/// One warmed equivalence class: the representative's post-failure trace
-/// and outcome, ready to replay against a warm member's own shadow
-/// checkpoint.
-#[derive(Debug)]
-pub(crate) struct WarmClass {
-    pub(crate) post: Vec<TraceEntry>,
-    pub(crate) outcome: CachedOutcome,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -117,7 +95,7 @@ struct CacheDoc {
 }
 
 /// A class discovered (executed) this run, staged for [`ClassCache::save`].
-type ExportedClass = (Vec<OwnedTraceEntry>, CachedOutcome);
+type ExportedClass = (Vec<OwnedTraceEntry>, PostOutcome);
 
 /// A persistent cross-run class cache bound to one cache file.
 ///
@@ -130,8 +108,10 @@ pub(crate) struct ClassCache {
     path: PathBuf,
     fingerprint: String,
     digest: String,
-    /// Classes loaded from a matching cache file, immutable for the run.
-    warm: HashMap<(u64, u64), WarmClass>,
+    /// Classes loaded from a matching cache file, immutable for the run:
+    /// each representative's trace and outcome, ready to replay against a
+    /// warm member's own shadow checkpoint.
+    warm: HashMap<(u64, u64), Post>,
     /// Classes discovered (executed) this run, merged into the file on
     /// [`ClassCache::save`].
     export: Mutex<HashMap<(u64, u64), ExportedClass>>,
@@ -158,13 +138,13 @@ impl ClassCache {
                 {
                     bytes_read = raw.len() as u64;
                     for c in doc.classes {
-                        let Some(outcome) = CachedOutcome::from_parts(&c.outcome, c.message) else {
+                        let Some(outcome) = PostOutcome::from_parts(&c.outcome, c.message) else {
                             continue;
                         };
                         warm.insert(
                             (c.ns, c.key),
-                            WarmClass {
-                                post: c.post.iter().map(OwnedTraceEntry::to_entry).collect(),
+                            Post {
+                                trace: c.post.iter().map(OwnedTraceEntry::to_entry).collect(),
                                 outcome,
                             },
                         );
@@ -197,7 +177,7 @@ impl ClassCache {
                 key,
                 outcome: class.outcome.kind().to_owned(),
                 message: class.outcome.message().to_owned(),
-                post: class.post.iter().copied().map(Into::into).collect(),
+                post: class.trace.iter().copied().map(Into::into).collect(),
             })
             .chain(
                 export
@@ -258,7 +238,7 @@ impl CacheHandle {
 
     /// Looks a class fingerprint up in the warm set, counting the hit or
     /// miss.
-    pub(crate) fn lookup(&self, key: u64) -> Option<&WarmClass> {
+    pub(crate) fn lookup(&self, key: u64) -> Option<&Post> {
         match self.store.warm.get(&(self.ns, key)) {
             Some(class) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -271,23 +251,20 @@ impl CacheHandle {
         }
     }
 
-    /// As [`CacheHandle::lookup`] without touching the counters (used by
-    /// the parallel merge stage to re-resolve a class it already counted).
-    pub(crate) fn peek(&self, key: u64) -> Option<&WarmClass> {
-        self.store.warm.get(&(self.ns, key))
-    }
-
     /// Registers a newly executed class representative for export. Classes
     /// already warm (or already exported) are left alone — first wins,
     /// like the in-run prune cache.
-    pub(crate) fn export(&self, key: u64, post: &[TraceEntry], outcome: CachedOutcome) {
+    pub(crate) fn export(&self, key: u64, post: &Post) {
         if self.store.warm.contains_key(&(self.ns, key)) {
             return;
         }
         let mut export = self.store.export.lock().expect("cache export lock");
-        export
-            .entry((self.ns, key))
-            .or_insert_with(|| (post.iter().copied().map(Into::into).collect(), outcome));
+        export.entry((self.ns, key)).or_insert_with(|| {
+            (
+                post.trace.iter().copied().map(Into::into).collect(),
+                post.outcome.clone(),
+            )
+        });
     }
 
     pub(crate) fn hits(&self) -> u64 {
@@ -311,6 +288,13 @@ impl CacheHandle {
 mod tests {
     use super::*;
     use xftrace::{Op, SourceLoc, TraceEntry};
+
+    fn post(trace: &[TraceEntry], outcome: PostOutcome) -> Post {
+        Post {
+            trace: trace.into(),
+            outcome,
+        }
+    }
 
     fn entry() -> TraceEntry {
         TraceEntry {
@@ -341,7 +325,7 @@ mod tests {
         assert_eq!(cold.loaded(), 0);
         let h = CacheHandle::new(Arc::new(cold), 0);
         assert!(h.lookup(42).is_none());
-        h.export(42, &[entry()], CachedOutcome::Failed("boom".into()));
+        h.export(42, &post(&[entry()], PostOutcome::Failed("boom".into())));
         h.store.save().unwrap();
 
         let warm = ClassCache::open(&path, "fp", "digest");
@@ -349,8 +333,8 @@ mod tests {
         assert!(warm.bytes_read() > 0);
         let h = CacheHandle::new(Arc::new(warm), 0);
         let class = h.lookup(42).expect("warm class");
-        assert_eq!(class.post.len(), 1);
-        assert_eq!(class.outcome, CachedOutcome::Failed("boom".into()));
+        assert_eq!(class.trace.len(), 1);
+        assert_eq!(class.outcome, PostOutcome::Failed("boom".into()));
         assert_eq!(h.hits(), 1);
         std::fs::remove_file(&path).ok();
     }
@@ -360,7 +344,7 @@ mod tests {
         let path = tmp("mismatch.json");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp-a", "d1"));
-        CacheHandle::new(Arc::clone(&cache), 0).export(1, &[], CachedOutcome::Completed);
+        CacheHandle::new(Arc::clone(&cache), 0).export(1, &post(&[], PostOutcome::Completed));
         cache.save().unwrap();
 
         assert_eq!(ClassCache::open(&path, "fp-b", "d1").loaded(), 0);
@@ -374,7 +358,7 @@ mod tests {
         let path = tmp("ns.json");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
-        CacheHandle::new(Arc::clone(&cache), 0).export(9, &[], CachedOutcome::Completed);
+        CacheHandle::new(Arc::clone(&cache), 0).export(9, &post(&[], PostOutcome::Completed));
         cache.save().unwrap();
 
         let warm = Arc::new(ClassCache::open(&path, "fp", "d"));
@@ -396,14 +380,15 @@ mod tests {
         let path = tmp("no-reexport.json");
         std::fs::remove_file(&path).ok();
         let cache = Arc::new(ClassCache::open(&path, "fp", "d"));
-        CacheHandle::new(Arc::clone(&cache), 0).export(5, &[entry()], CachedOutcome::Completed);
+        CacheHandle::new(Arc::clone(&cache), 0)
+            .export(5, &post(&[entry()], PostOutcome::Completed));
         cache.save().unwrap();
         let first = std::fs::read(&path).unwrap();
 
         let warm = Arc::new(ClassCache::open(&path, "fp", "d"));
         let h = CacheHandle::new(Arc::clone(&warm), 0);
         assert!(h.lookup(5).is_some());
-        h.export(5, &[], CachedOutcome::Failed("late".into()));
+        h.export(5, &post(&[], PostOutcome::Failed("late".into())));
         warm.save().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), first, "first wins");
         std::fs::remove_file(&path).ok();

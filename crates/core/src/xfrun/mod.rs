@@ -48,18 +48,19 @@ mod obs;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pmem::Budget;
-use xftrace::{SourceLoc, TraceEntry};
+use xftrace::SourceLoc;
 
 use crate::concurrent::{ConcurrentWorkload, Scheduled};
 use crate::engine::{RunOutcome, Workload, XfConfig, XfDetector, MAX_SCHEDULE_PLANS};
 use crate::error::{ConfigError, XfError};
 use crate::prune::Pruning;
 use crate::report::{BugKind, Finding};
+use crate::resolve::Post;
 use crate::stats::RunStats;
 
 pub use journal::JournalFp;
@@ -190,25 +191,15 @@ impl RunCtl {
 
     /// Looks a class fingerprint up in the warm cross-run cache, counting
     /// the hit or miss. `None` without a cache or on a cold key.
-    pub(crate) fn cache_lookup(&self, key: u64) -> Option<&cache::WarmClass> {
+    pub(crate) fn cache_lookup(&self, key: u64) -> Option<&Post> {
         self.cache.as_ref()?.lookup(key)
-    }
-
-    /// As [`RunCtl::cache_lookup`] without touching the hit/miss counters.
-    pub(crate) fn cache_peek(&self, key: u64) -> Option<&cache::WarmClass> {
-        self.cache.as_ref()?.peek(key)
     }
 
     /// Registers a newly executed class representative for cross-run
     /// export (no-op without a cache).
-    pub(crate) fn cache_export(
-        &self,
-        key: u64,
-        post: &[TraceEntry],
-        outcome: cache::CachedOutcome,
-    ) {
+    pub(crate) fn cache_export(&self, key: u64, post: &Post) {
         if let Some(c) = &self.cache {
-            c.export(key, post, outcome);
+            c.export(key, post);
         }
     }
 
@@ -418,16 +409,13 @@ impl SessionBuilder {
     /// # Errors
     ///
     /// The same invariants as [`XfConfigBuilder::build`]
-    /// ([`ConfigError::DedupRequiresCow`], [`ConfigError::EmptyBudget`],
-    /// [`ConfigError::InvalidSamplingRate`]), plus
+    /// ([`ConfigError::EmptyBudget`], [`ConfigError::InvalidSamplingRate`],
+    /// …), plus
     /// [`ConfigError::ZeroStreamCapacity`] for an explicit zero stream
     /// capacity.
     ///
     /// [`XfConfigBuilder::build`]: crate::XfConfigBuilder::build
     pub fn build(self) -> Result<Session, ConfigError> {
-        if self.config.dedup_images && !self.config.cow_snapshots {
-            return Err(ConfigError::DedupRequiresCow);
-        }
         if let Some(b) = &self.config.post_budget {
             if b.is_unlimited() {
                 return Err(ConfigError::EmptyBudget);
@@ -727,24 +715,27 @@ impl Session {
             cache: cache.clone(),
         };
 
-        // Progress ticker: a detached observer thread over the shared
-        // counters, stopped (and given a final tick) when the run ends.
-        let stop = Arc::new(AtomicBool::new(false));
+        // Progress ticker: an observer thread over the shared counters,
+        // ticking every interval. Dropping `stop` wakes it at once for a
+        // final tick, so a run never waits out the rest of an interval.
+        let (stop, stopped) = mpsc::channel::<()>();
         let ticker = self.progress.clone().map(|cb| {
             let obs = ctl.obs().clone();
-            let stop = Arc::clone(&stop);
             let clock = RunClock::start();
             let interval = self.progress_interval;
-            std::thread::spawn(move || loop {
-                cb(&Progress {
-                    counts: obs.snapshot(),
-                    total_hint,
-                    elapsed: clock.elapsed(),
-                });
-                if stop.load(Ordering::Relaxed) {
-                    break;
+            std::thread::spawn(move || {
+                let tick = || {
+                    cb(&Progress {
+                        counts: obs.snapshot(),
+                        total_hint,
+                        elapsed: clock.elapsed(),
+                    });
+                };
+                tick();
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                    tick();
                 }
-                std::thread::sleep(interval);
+                tick();
             })
         });
 
@@ -766,7 +757,7 @@ impl Session {
             },
         };
 
-        stop.store(true, Ordering::Relaxed);
+        drop(stop);
         if let Some(t) = ticker {
             let _ = t.join();
         }
@@ -839,14 +830,12 @@ fn add_stats(acc: &mut RunStats, o: &RunStats) {
     acc.post_entries += o.post_entries;
     acc.shadow_bytes_cloned += o.shadow_bytes_cloned;
     acc.shadow_resident_bytes += o.shadow_resident_bytes;
-    acc.checks_parallelized += o.checks_parallelized;
     acc.stream_batches += o.stream_batches;
     acc.stream_max_depth = acc.stream_max_depth.max(o.stream_max_depth);
     acc.stream_stall_time += o.stream_stall_time;
     acc.ring_spins += o.ring_spins;
     acc.ring_parks += o.ring_parks;
-    acc.jobs_stolen += o.jobs_stolen;
-    acc.arena_bytes += o.arena_bytes;
+    acc.retained_trace_bytes += o.retained_trace_bytes;
     acc.total_time += o.total_time;
     acc.post_exec_time += o.post_exec_time;
     acc.detect_time += o.detect_time;
@@ -869,7 +858,7 @@ fn write_json<T: serde::Serialize>(path: &Path, value: &T) -> Result<(), XfError
 mod tests {
     use super::*;
     use pmem::PmCtx;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     struct Racy;
     impl Workload for Racy {
@@ -1032,6 +1021,31 @@ mod tests {
             .unwrap();
         session.run(Racy, Mode::Batch).unwrap();
         assert!(ticks.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn ending_a_run_wakes_the_progress_ticker() {
+        // The ticker must not hold a short run for the rest of its
+        // interval: the end of the run wakes it for the final tick.
+        let ticks = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&ticks);
+        let session = Session::builder()
+            .on_progress(Duration::from_secs(5), move |_| {
+                seen.fetch_add(1, Ordering::Relaxed);
+            })
+            .build()
+            .unwrap();
+        let start = std::time::Instant::now();
+        session.run(Racy, Mode::Batch).unwrap();
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "a tiny run took {took:?}: it waited out the 5 s progress interval"
+        );
+        assert!(
+            ticks.load(Ordering::Relaxed) >= 2,
+            "the first tick and the final tick both fire"
+        );
     }
 
     #[test]

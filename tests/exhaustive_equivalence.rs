@@ -158,38 +158,53 @@ fn report_json(outcome: &RunOutcome) -> String {
     serde_json::to_string(&outcome.report).expect("reports serialize")
 }
 
+/// The per-source counters: `post_runs`, `images_deduped`, `fps_pruned`,
+/// `classes_total`, `journal_skipped` and `budget_exceeded`. Every engine
+/// resolves failure points through the same resolver, so all three must
+/// report identical values on every configuration.
+fn counters(outcome: &RunOutcome) -> [u64; 6] {
+    let s = &outcome.stats;
+    [
+        s.post_runs,
+        s.images_deduped,
+        s.fps_pruned,
+        s.classes_total,
+        s.journal_skipped,
+        s.budget_exceeded,
+    ]
+}
+
+fn assert_counter_parity(reference: &RunOutcome, other: &RunOutcome, label: &str) {
+    assert_eq!(
+        counters(reference),
+        counters(other),
+        "counters diverged from the sequential engine ({label}): \
+         [post_runs, images_deduped, fps_pruned, classes_total, journal_skipped, budget_exceeded]"
+    );
+    assert_eq!(
+        reference.stats.failure_points, other.stats.failure_points,
+        "{label}"
+    );
+}
+
 #[test]
 fn every_engine_configuration_produces_the_identical_report() {
-    // Acceptance criterion: sequential, parallel, and dedup-enabled runs
-    // all yield byte-identical `DetectionReport`s — the snapshot
-    // representation and the dedup cache are pure optimizations.
+    // Acceptance criterion: sequential and parallel runs, with and without
+    // image dedup and under a killing budget, yield byte-identical
+    // `DetectionReport`s and identical per-source counters — the dedup
+    // cache and the worker pool are pure optimizations.
+    use xfd::pmem::Budget;
+
     for persist_data in [true, false] {
         let w = Publish { persist_data };
-        let baseline_cfg = XfConfig {
-            cow_snapshots: false,
+        let exhaustive = XfDetector::new(XfConfig {
             dedup_images: false,
             ..XfConfig::default()
-        };
-        let baseline = XfDetector::new(baseline_cfg.clone()).run(w).unwrap();
-        let expected = report_json(&baseline);
-        assert_eq!(baseline.stats.images_deduped, 0);
-
-        let cow_only_cfg = XfConfig {
-            dedup_images: false,
-            ..XfConfig::default()
-        };
-        let cow_only = XfDetector::new(cow_only_cfg.clone()).run(w).unwrap();
-        assert_eq!(
-            report_json(&cow_only),
-            expected,
-            "COW snapshots changed the report (persist_data={persist_data})"
-        );
-        assert!(
-            baseline.stats.snapshot_bytes_copied > cow_only.stats.snapshot_bytes_copied,
-            "COW must copy fewer bytes (persist_data={persist_data}): {} !> {}",
-            baseline.stats.snapshot_bytes_copied,
-            cow_only.stats.snapshot_bytes_copied
-        );
+        })
+        .run(w)
+        .unwrap();
+        let expected = report_json(&exhaustive);
+        assert_eq!(exhaustive.stats.images_deduped, 0);
 
         let dedup = XfDetector::with_defaults().run(w).unwrap();
         assert_eq!(
@@ -208,34 +223,43 @@ fn every_engine_configuration_produces_the_identical_report() {
             dedup.stats.failure_points
         );
 
-        for workers in [1, 3] {
-            for base in [&baseline_cfg, &cow_only_cfg, &XfConfig::default()] {
-                for parallel_checking in [false, true] {
-                    let cfg = XfConfig {
-                        parallel_checking,
-                        ..base.clone()
-                    };
-                    let par = XfDetector::new(cfg.clone())
-                        .run_parallel(w, workers)
-                        .unwrap();
-                    assert_eq!(
-                        report_json(&par),
-                        expected,
-                        "parallel run diverged (persist_data={persist_data}, workers={workers}, \
-                         cow={}, dedup={}, parallel_checking={parallel_checking})",
-                        cfg.cow_snapshots,
-                        cfg.dedup_images
-                    );
-                    if parallel_checking {
-                        assert_eq!(
-                            par.stats.checks_parallelized, par.stats.post_runs,
-                            "every executed post run must be checked by its worker"
-                        );
-                    } else {
-                        assert_eq!(par.stats.checks_parallelized, 0);
-                    }
-                }
+        for dedup_images in [false, true] {
+            let cfg = XfConfig {
+                dedup_images,
+                ..XfConfig::default()
+            };
+            let seq = XfDetector::new(cfg.clone()).run(w).unwrap();
+            for workers in [1, 3] {
+                let par = XfDetector::new(cfg.clone())
+                    .run_parallel(w, workers)
+                    .unwrap();
+                let label =
+                    format!("persist_data={persist_data}, workers={workers}, dedup={dedup_images}");
+                assert_eq!(
+                    report_json(&par),
+                    expected,
+                    "parallel run diverged ({label})"
+                );
+                assert_counter_parity(&seq, &par, &label);
             }
+        }
+
+        // A budget that kills executions: the BudgetExceeded findings
+        // and the kill count must agree across engines, and replays of a
+        // killed representative must not count as kills.
+        let killing = XfConfig {
+            post_budget: Some(Budget::default().with_max_trace_entries(1)),
+            ..XfConfig::default()
+        };
+        let seq = XfDetector::new(killing.clone()).run(w).unwrap();
+        assert!(seq.stats.budget_exceeded > 0, "{:?}", seq.stats);
+        assert!(seq.stats.budget_exceeded <= seq.stats.post_runs);
+        let par = XfDetector::new(killing.clone()).run_parallel(w, 3).unwrap();
+        let pipe = xfd::xfstream::run_pipelined(&killing, w, &Default::default()).unwrap();
+        for (engine, other) in [("parallel", &par), ("streaming", &pipe)] {
+            let label = format!("{engine} under a killing budget, persist_data={persist_data}");
+            assert_eq!(report_json(other), report_json(&seq), "{label}");
+            assert_counter_parity(&seq, other, &label);
         }
     }
 }
@@ -243,96 +267,73 @@ fn every_engine_configuration_produces_the_identical_report() {
 #[test]
 fn streaming_pipeline_matches_every_configuration_byte_for_byte() {
     // The pipelined engine (frontend and backend as concurrent stages over
-    // the bounded trace FIFO) is a pure transport change: for every
-    // snapshot/dedup configuration, FIFO capacity, FIFO implementation
-    // (lock-free ring vs the Mutex ablation) and recording mode it must
-    // produce the byte-identical report — and the byte-identical recorded
-    // run — of the sequential engine.
-    use xfd::xfdetector::RingImpl;
+    // the bounded trace FIFO) is a pure transport change: for every dedup
+    // setting, FIFO capacity and recording mode it must produce the
+    // byte-identical report — and the byte-identical recorded run — of the
+    // sequential engine.
     use xfd::xfstream::{
         analyze_xft, analyze_xft_path, encode_recorded_run, run_pipelined, StreamOptions,
     };
 
     for persist_data in [true, false] {
         let w = Publish { persist_data };
-        for base in [
-            XfConfig {
-                cow_snapshots: false,
-                dedup_images: false,
-                ..XfConfig::default()
-            },
-            XfConfig {
-                dedup_images: false,
-                ..XfConfig::default()
-            },
-            XfConfig::default(),
-        ] {
+        for dedup_images in [false, true] {
             for record_trace in [false, true] {
-                for ring_impl in [RingImpl::LockFree, RingImpl::Mutex] {
-                    let cfg = XfConfig {
-                        record_trace,
-                        ring_impl,
-                        ..base.clone()
-                    };
-                    let seq = XfDetector::new(cfg.clone()).run(w).unwrap();
-                    for capacity in [1, 64] {
-                        let pipe = run_pipelined(&cfg, w, &StreamOptions { capacity }).unwrap();
-                        assert_eq!(
-                            report_json(&pipe),
-                            report_json(&seq),
-                            "pipelined run diverged (persist_data={persist_data}, cow={}, \
-                             dedup={}, record={record_trace}, ring={ring_impl:?}, \
-                             capacity={capacity})",
-                            cfg.cow_snapshots,
-                            cfg.dedup_images
-                        );
-                        assert!(pipe.stats.stream_batches > 0);
-                        assert!(pipe.stats.stream_max_depth as usize <= capacity);
-                        assert_eq!(pipe.stats.failure_points, seq.stats.failure_points);
-                        assert_eq!(pipe.stats.pre_entries, seq.stats.pre_entries);
-                        assert_eq!(pipe.stats.post_entries, seq.stats.post_entries);
-                        if ring_impl == RingImpl::Mutex {
-                            assert_eq!(
-                                pipe.stats.ring_spins + pipe.stats.ring_parks,
-                                0,
-                                "the Mutex ablation never spins or parks"
-                            );
-                        }
+                let cfg = XfConfig {
+                    dedup_images,
+                    record_trace,
+                    ..XfConfig::default()
+                };
+                let seq = XfDetector::new(cfg.clone()).run(w).unwrap();
+                for capacity in [1, 64] {
+                    let pipe = run_pipelined(&cfg, w, &StreamOptions { capacity }).unwrap();
+                    let label = format!(
+                        "persist_data={persist_data}, dedup={dedup_images}, \
+                         record={record_trace}, capacity={capacity}"
+                    );
+                    assert_eq!(
+                        report_json(&pipe),
+                        report_json(&seq),
+                        "pipelined run diverged ({label})"
+                    );
+                    assert!(pipe.stats.stream_batches > 0);
+                    assert!(pipe.stats.stream_max_depth as usize <= capacity);
+                    assert_counter_parity(&seq, &pipe, &label);
+                    assert_eq!(pipe.stats.pre_entries, seq.stats.pre_entries);
+                    assert_eq!(pipe.stats.post_entries, seq.stats.post_entries);
 
-                        if record_trace {
-                            let rec_json = |o: &RunOutcome| {
-                                serde_json::to_string(o.recorded.as_ref().unwrap()).unwrap()
-                            };
-                            assert_eq!(rec_json(&pipe), rec_json(&seq));
-                            // Publish's recovery never errors, so the offline
-                            // replay of the recorded trace — via the compact
-                            // .xft encoding — reproduces the full report,
-                            // through the streaming ingest path and the
-                            // mapped zero-copy one alike.
-                            let bytes =
-                                encode_recorded_run(pipe.recorded.as_ref().unwrap()).unwrap();
-                            let offline = analyze_xft(&bytes[..], cfg.first_read_only).unwrap();
-                            assert_eq!(
-                                serde_json::to_string(&offline).unwrap(),
-                                report_json(&seq),
-                                "offline .xft replay diverged (persist_data={persist_data})"
-                            );
-                            let mut path = std::env::temp_dir();
-                            path.push(format!(
-                                "xfd-equiv-{}-{persist_data}-{record_trace}-{ring_impl:?}-{capacity}.xft",
-                                std::process::id()
-                            ));
-                            std::fs::write(&path, &bytes).unwrap();
-                            let mapped = analyze_xft_path(&path, cfg.first_read_only).unwrap();
-                            std::fs::remove_file(&path).ok();
-                            assert_eq!(
-                                serde_json::to_string(&mapped).unwrap(),
-                                report_json(&seq),
-                                "mapped .xft replay diverged (persist_data={persist_data})"
-                            );
-                        } else {
-                            assert!(pipe.recorded.is_none());
-                        }
+                    if record_trace {
+                        let rec_json = |o: &RunOutcome| {
+                            serde_json::to_string(o.recorded.as_ref().unwrap()).unwrap()
+                        };
+                        assert_eq!(rec_json(&pipe), rec_json(&seq));
+                        // Publish's recovery never errors, so the offline
+                        // replay of the recorded trace — via the compact
+                        // .xft encoding — reproduces the full report,
+                        // through the streaming ingest path and the mapped
+                        // zero-copy one alike.
+                        let bytes = encode_recorded_run(pipe.recorded.as_ref().unwrap()).unwrap();
+                        let offline = analyze_xft(&bytes[..], cfg.first_read_only).unwrap();
+                        assert_eq!(
+                            serde_json::to_string(&offline).unwrap(),
+                            report_json(&seq),
+                            "offline .xft replay diverged ({label})"
+                        );
+                        let mut path = std::env::temp_dir();
+                        path.push(format!(
+                            "xfd-equiv-{}-{persist_data}-{dedup_images}-{capacity}.xft",
+                            std::process::id()
+                        ));
+                        std::fs::write(&path, &bytes).unwrap();
+                        let mapped = analyze_xft_path(&path, cfg.first_read_only).unwrap();
+                        std::fs::remove_file(&path).ok();
+                        assert_eq!(
+                            serde_json::to_string(&mapped).unwrap(),
+                            report_json(&seq),
+                            "mapped .xft replay diverged ({label})"
+                        );
+                    } else {
+                        assert!(pipe.recorded.is_none());
                     }
                 }
             }
@@ -361,11 +362,12 @@ fn assert_accounting(outcome: &RunOutcome, label: &str) {
 #[test]
 fn pruned_runs_match_exhaustive_byte_for_byte_across_every_engine() {
     // The tentpole acceptance criterion: persistence-state equivalence
-    // pruning is report-invariant. For every pruning mode, engine, snapshot
-    // representation, checking mode and FIFO capacity, the merged report
-    // must be byte-identical to the exhaustive sequential run — pruning
-    // only changes *how many* post-failure executions happen, never what
-    // the detector concludes.
+    // pruning is report-invariant. For every pruning mode, engine, dedup
+    // setting, recording mode and FIFO capacity, the merged report must be
+    // byte-identical to the exhaustive sequential run — pruning only
+    // changes *how many* post-failure executions happen, never what the
+    // detector concludes — and every engine must count the same sources
+    // and record the same run.
     use xfd::xfstream::{run_pipelined, StreamOptions};
 
     let modes = [
@@ -385,23 +387,19 @@ fn pruned_runs_match_exhaustive_byte_for_byte_across_every_engine() {
         assert_eq!(exhaustive.stats.classes_total, 0);
 
         for pruning in modes {
-            for base in [
-                XfConfig {
-                    cow_snapshots: false,
-                    dedup_images: false,
-                    ..XfConfig::default()
-                },
-                XfConfig::default(),
-            ] {
+            for (dedup_images, record_trace) in
+                [(false, false), (false, true), (true, false), (true, true)]
+            {
                 let cfg = XfConfig {
                     pruning,
-                    ..base.clone()
+                    dedup_images,
+                    record_trace,
+                    ..XfConfig::default()
                 };
                 let label = |engine: &str| {
                     format!(
                         "{engine}, persist_data={persist_data}, pruning={pruning:?}, \
-                         cow={}, dedup={}",
-                        cfg.cow_snapshots, cfg.dedup_images
+                         dedup={dedup_images}, record={record_trace}"
                     )
                 };
 
@@ -415,46 +413,26 @@ fn pruned_runs_match_exhaustive_byte_for_byte_across_every_engine() {
                         "auditing every class hit means nothing is pruned"
                     );
                 }
+                let recorded = |o: &RunOutcome| serde_json::to_string(&o.recorded).unwrap();
 
                 for workers in [1, 3] {
-                    for parallel_checking in [false, true] {
-                        let pcfg = XfConfig {
-                            parallel_checking,
-                            ..cfg.clone()
-                        };
-                        let par = XfDetector::new(pcfg).run_parallel(w, workers).unwrap();
-                        let l = format!(
-                            "{} workers={workers} parallel_checking={parallel_checking}",
-                            label("parallel")
-                        );
-                        assert_eq!(report_json(&par), expected, "{l}");
-                        assert_accounting(&par, &l);
-                        // Class structure is a function of the trace alone,
-                        // so every engine must agree on it.
-                        assert_eq!(par.stats.classes_total, seq.stats.classes_total, "{l}");
-                        assert_eq!(par.stats.fps_pruned, seq.stats.fps_pruned, "{l}");
-                    }
+                    let par = XfDetector::new(cfg.clone())
+                        .run_parallel(w, workers)
+                        .unwrap();
+                    let l = format!("{} workers={workers}", label("parallel"));
+                    assert_eq!(report_json(&par), expected, "{l}");
+                    assert_accounting(&par, &l);
+                    assert_counter_parity(&seq, &par, &l);
+                    assert_eq!(recorded(&par), recorded(&seq), "{l}");
                 }
 
                 for capacity in [1, 64] {
-                    for ring_impl in [
-                        xfd::xfdetector::RingImpl::LockFree,
-                        xfd::xfdetector::RingImpl::Mutex,
-                    ] {
-                        let scfg = XfConfig {
-                            ring_impl,
-                            ..cfg.clone()
-                        };
-                        let pipe = run_pipelined(&scfg, w, &StreamOptions { capacity }).unwrap();
-                        let l = format!(
-                            "{} capacity={capacity} ring={ring_impl:?}",
-                            label("streaming")
-                        );
-                        assert_eq!(report_json(&pipe), expected, "{l}");
-                        assert_accounting(&pipe, &l);
-                        assert_eq!(pipe.stats.classes_total, seq.stats.classes_total, "{l}");
-                        assert_eq!(pipe.stats.fps_pruned, seq.stats.fps_pruned, "{l}");
-                    }
+                    let pipe = run_pipelined(&cfg, w, &StreamOptions { capacity }).unwrap();
+                    let l = format!("{} capacity={capacity}", label("streaming"));
+                    assert_eq!(report_json(&pipe), expected, "{l}");
+                    assert_accounting(&pipe, &l);
+                    assert_counter_parity(&seq, &pipe, &l);
+                    assert_eq!(recorded(&pipe), recorded(&seq), "{l}");
                 }
             }
         }
@@ -516,11 +494,11 @@ fn equivalence_pruning_collapses_repeated_persistence_states() {
         .run_parallel(RepeatedFlush, 2)
         .unwrap();
     assert_eq!(report_json(&par), report_json(&exhaustive));
-    assert_eq!(par.stats.fps_pruned, seq.stats.fps_pruned);
+    assert_counter_parity(&seq, &par, "parallel repeated-flush");
 
     let pipe = run_pipelined(&cfg, RepeatedFlush, &StreamOptions::default()).unwrap();
     assert_eq!(report_json(&pipe), report_json(&exhaustive));
-    assert_eq!(pipe.stats.fps_pruned, seq.stats.fps_pruned);
+    assert_counter_parity(&seq, &pipe, "streaming repeated-flush");
 }
 
 #[test]
@@ -594,12 +572,10 @@ fn concurrent_runs_are_engine_equivalent_for_every_thread_and_schedule() {
             );
             for mode in [Mode::Parallel, Mode::Stream] {
                 let other = run(mode);
-                assert_eq!(
-                    report_json(&other),
-                    expected,
-                    "{kind}: {mode:?} diverged (threads={threads}, schedule={spec:?})"
-                );
+                let label = format!("{kind}: {mode:?}, threads={threads}, schedule={spec:?}");
+                assert_eq!(report_json(&other), expected, "{label} diverged");
                 assert_eq!(other.stats.schedules_explored, plans);
+                assert_counter_parity(&batch, &other, &label);
             }
         }
     }
@@ -742,8 +718,10 @@ fn domain_matrix_is_engine_invariant_and_adr_matches_the_domainless_baseline() {
                 assert_eq!(report_json(&seq_p), expected, "sequential, {label}");
                 let par = XfDetector::new(cfg.clone()).run_parallel(w, 3).unwrap();
                 assert_eq!(report_json(&par), expected, "parallel, {label}");
+                assert_counter_parity(&seq_p, &par, &format!("parallel, {label}"));
                 let pipe = run_pipelined(&cfg, w, &StreamOptions::default()).unwrap();
                 assert_eq!(report_json(&pipe), expected, "streaming, {label}");
+                assert_counter_parity(&seq_p, &pipe, &format!("streaming, {label}"));
             }
         }
     }
